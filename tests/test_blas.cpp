@@ -2,8 +2,16 @@
 // all precision combinations, multivector GEMVs, CGS2 building blocks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <type_traits>
+#include <utility>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "blas/multivector.hpp"
 #include "blas/vector_ops.hpp"
@@ -235,6 +243,69 @@ TEST_P(DistributedBlas, GemvTBatchesOneAllreduce) {
 
 INSTANTIATE_TEST_SUITE_P(GemvWorlds, DistributedBlas,
                          ::testing::Values(3, 8));
+
+#ifdef _OPENMP
+// Bit pattern of a float/double, so -0.0 vs 0.0 or a last-ulp change shows.
+template <typename T>
+auto bits(T v) {
+  using U = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+  return std::bit_cast<U>(v);
+}
+
+// dot_local and gemv_t add one partial per kReduceBlock rows in index
+// order, so their results must not depend on the OpenMP thread count. This
+// is the local half of the solvers' bit-identity contract; the rank-ordered
+// allreduce is the other half.
+template <typename T>
+void expect_reductions_invariant_to_thread_count() {
+  // Several full blocks plus a ragged tail.
+  const std::size_t n = 4 * detail::kReduceBlock + 37;
+  constexpr int k = 5;
+  MultiVector<T> q(static_cast<local_index_t>(n), k);
+  AlignedVector<T> w(n);
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> dist(-1, 1);
+  for (int j = 0; j < k; ++j) {
+    for (auto& v : q.column(j)) {
+      v = static_cast<T>(dist(rng));
+    }
+  }
+  for (auto& v : w) {
+    v = static_cast<T>(dist(rng));
+  }
+  const std::span<const T> ws(w.data(), n);
+  SelfComm comm;
+
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const T ref_dot = dot_local(std::as_const(q).column(0), ws);
+  AlignedVector<T> ref_h(k, T(0));
+  gemv_t(comm, q, k, ws, std::span<T>(ref_h.data(), ref_h.size()));
+  // gemv_t's column j is the same ordered sum as dot_local(Q[:,j], w).
+  EXPECT_EQ(bits(ref_h[0]), bits(ref_dot));
+
+  for (int threads = 1; threads <= 4; ++threads) {
+    omp_set_num_threads(threads);
+    for (int rep = 0; rep < 8; ++rep) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " rep=" << rep);
+      EXPECT_EQ(bits(dot_local(std::as_const(q).column(0), ws)),
+                bits(ref_dot));
+      AlignedVector<T> h(k, T(0));
+      gemv_t(comm, q, k, ws, std::span<T>(h.data(), h.size()));
+      for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
+        EXPECT_EQ(bits(h[j]), bits(ref_h[j])) << "column " << j;
+      }
+    }
+  }
+  omp_set_num_threads(saved_threads);
+}
+
+TEST(OrderedReductions, DotLocalAndGemvTAreBitIdenticalAcrossThreadCounts) {
+  expect_reductions_invariant_to_thread_count<float>();
+  expect_reductions_invariant_to_thread_count<double>();
+}
+#endif  // _OPENMP
 
 }  // namespace
 }  // namespace hpgmx
